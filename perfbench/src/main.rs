@@ -17,6 +17,7 @@ mod workload;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use vnpu::VnpuError;
 use workload::{Episode, Workload};
 
 #[global_allocator]
@@ -24,10 +25,9 @@ static GLOBAL: alloc::Counting = alloc::Counting;
 
 /// Ticks that must lie beyond the reported p99 tick time.
 const MIN_TAIL_TICKS: usize = 10;
-/// Times every episode of an end-to-end run is run.
-const PASSES: usize = 3;
-/// Extra `ServeRuntime::new` calls per run, so `setup_s` is a median.
-const SETUP_SAMPLES: usize = 15;
+/// Times each episode whose host times count is run; host times take the
+/// fastest of these runs.
+const PASSES: usize = 5;
 /// Relative difference in `step()` allocations tolerated between two runs
 /// of one seed at `workers = 1`. Not zero: the serving loop keeps
 /// `RandomState`-hashed maps, whose tombstone pattern (and so whether an
@@ -230,58 +230,102 @@ pub fn interquartile_mean(mut v: Vec<f64>) -> f64 {
     kept.iter().sum::<f64>() / kept.len().max(1) as f64
 }
 
-/// The end-to-end run. Episodes run on seeds derived from the run's.
-/// The first pass starts new episodes for a third of `seconds` (and at
-/// least the workload's fixed count); two more passes repeat exactly
-/// those episodes, so every episode runs [`PASSES`] times, each time about
-/// a third of the run apart. Every repeat must reproduce its first run
-/// exactly. Host times take, per tick and per stepping loop, the fastest
-/// of the passes, which filters out the host's stretches of slowness;
-/// simulated metrics and the digest cover the fixed count of episodes
-/// only, so they depend on the seed alone.
-fn run_untraced(w: &Workload, seed: u64, seconds: f64) -> Outcome {
-    let mut out = Outcome::default();
-    let mut setups: Vec<f64> = (0..SETUP_SAMPLES)
-        .map(|k| workload::time_setup(w, workload::episode_seed(seed, k)) as f64)
-        .collect();
-    let start = Instant::now();
-    let mut firsts: Vec<Episode> = Vec::new();
-    let mut fastest: Vec<(Vec<u64>, u64)> = Vec::new();
-    for pass in 0..PASSES {
-        let mut k = 0;
-        while k < firsts.len()
-            || (pass == 0
-                && (k < w.episodes || start.elapsed().as_secs_f64() < seconds / PASSES as f64))
-        {
-            let ep =
-                match workload::run_episode(w, workload::episode_seed(seed, k), false, |_, _| {}) {
-                    Ok(ep) => ep,
-                    Err(e) => {
-                        out.problems.push(format!("serving error: {e}"));
-                        return out;
-                    }
-                };
-            check_episode(&ep, &mut out);
-            setups.push(ep.setup_nanos as f64);
-            if pass == 0 {
-                fastest.push((ep.tick_nanos.clone(), ep.loop_nanos));
-                firsts.push(ep);
-            } else {
-                check_repeat(w, &firsts[k], &ep, &mut out);
-                let (ticks, loop_nanos) = &mut fastest[k];
-                for (t, &again) in ticks.iter_mut().zip(&ep.tick_nanos) {
-                    *t = (*t).min(again);
-                }
-                *loop_nanos = (*loop_nanos).min(ep.loop_nanos);
-            }
-            k += 1;
+/// The fastest host times seen over the runs of one episode.
+struct Fastest {
+    /// Config build plus `ServeRuntime::new`.
+    setup: u64,
+    /// Each `step()`.
+    ticks: Vec<u64>,
+    /// The whole stepping loop.
+    loop_nanos: u64,
+}
+
+impl Fastest {
+    fn new(ep: &Episode) -> Self {
+        Fastest {
+            setup: ep.setup_nanos,
+            ticks: ep.tick_nanos.clone(),
+            loop_nanos: ep.loop_nanos,
         }
     }
+
+    fn merge(&mut self, ep: &Episode) {
+        self.setup = self.setup.min(ep.setup_nanos);
+        for (t, &again) in self.ticks.iter_mut().zip(&ep.tick_nanos) {
+            *t = (*t).min(again);
+        }
+        self.loop_nanos = self.loop_nanos.min(ep.loop_nanos);
+    }
+}
+
+/// The end-to-end run. Episodes run on seeds derived from the run's.
+/// The first pass starts new episodes for `1 / PASSES` of `seconds`, and
+/// at least the workload's fixed count of them; simulated metrics and
+/// the digest cover that fixed count only, so they depend on the seed
+/// alone. Then the first episodes, as many as the rest of `seconds` holds
+/// at the pace so far, run again pass after pass until each has run
+/// [`PASSES`] times, so the runs of one episode lie spread over the whole
+/// run. Every repeat must reproduce its first run exactly. Host times
+/// cover these repeated episodes and take, per set-up, tick and stepping
+/// loop, the fastest of their runs, which filters out the host's spells
+/// of slowness (the more runs, the steadier the fastest).
+fn run_untraced(w: &Workload, seed: u64, seconds: f64) -> Outcome {
+    let mut out = Outcome::default();
+    if let Err(e) = untraced(w, seed, seconds, &mut out) {
+        out.problems.push(format!("serving error: {e}"));
+    }
+    out
+}
+
+fn untraced(w: &Workload, seed: u64, seconds: f64, out: &mut Outcome) -> Result<(), VnpuError> {
+    let run =
+        |k: usize| workload::run_episode(w, workload::episode_seed(seed, k), false, |_, _| {});
+    let start = Instant::now();
+    let mut firsts: Vec<Episode> = Vec::new();
+    while firsts.len() < w.episodes || start.elapsed().as_secs_f64() < seconds / PASSES as f64 {
+        let ep = run(firsts.len())?;
+        check_episode(&ep, out);
+        firsts.push(ep);
+    }
+    // Episodes that `passes_left` more passes can repeat in the time left
+    // at the pace of the last `runs` runs, which took `took` seconds; never
+    // fewer than the p99 tick time needs.
+    let min_repeated = (100 * MIN_TAIL_TICKS).div_ceil(w.ticks as usize);
+    let fit = |took: f64, runs: usize, passes_left: usize| {
+        let left = (seconds - start.elapsed().as_secs_f64()).max(0.0);
+        ((left * runs as f64 / took / passes_left as f64) as usize).max(min_repeated)
+    };
+    let mut fastest: Vec<Fastest> = firsts
+        .iter()
+        .take(fit(start.elapsed().as_secs_f64(), firsts.len(), PASSES - 1))
+        .map(Fastest::new)
+        .collect();
+    for pass in 1..PASSES {
+        let pass_start = Instant::now();
+        for (k, f) in fastest.iter_mut().enumerate() {
+            let ep = run(k)?;
+            check_episode(&ep, out);
+            check_repeat(w, &firsts[k], &ep, out);
+            f.merge(&ep);
+        }
+        // If the host slowed down, repeat fewer episodes rather than run
+        // past `seconds`.
+        if pass + 1 < PASSES {
+            let passes_left = PASSES - 1 - pass;
+            fastest.truncate(fit(
+                pass_start.elapsed().as_secs_f64(),
+                fastest.len(),
+                passes_left,
+            ));
+        }
+    }
+    let repeated = fastest.len();
     let mut tick_nanos: Vec<u64> = fastest
         .iter()
-        .flat_map(|(t, _)| t.iter().copied())
+        .flat_map(|f| f.ticks.iter().copied())
         .collect();
-    let loop_nanos: u64 = fastest.iter().map(|(_, l)| l).sum();
+    let loop_nanos: u64 = fastest.iter().map(|f| f.loop_nanos).sum();
+    let setup_nanos = median_f64(fastest.iter().map(|f| f.setup as f64).collect());
 
     tick_nanos.sort_unstable();
     let ticks = tick_nanos.len();
@@ -317,7 +361,7 @@ fn run_untraced(w: &Workload, seed: u64, seconds: f64) -> Outcome {
         ticks as f64 / (loop_nanos as f64 / 1e9),
         "1/s",
     );
-    out.metric("setup_s", median_f64(setups) / 1e9, "s");
+    out.metric("setup_s", setup_nanos / 1e9, "s");
     out.metric(
         "peak_heap_mb",
         peak.unwrap_or(0) as f64 / (1 << 20) as f64,
@@ -335,10 +379,10 @@ fn run_untraced(w: &Workload, seed: u64, seconds: f64) -> Outcome {
     );
     out.metric("placement_kcycles_p99", p99_cycles / 1e3, "kcycles");
     println!(
-        "# {} episodes run {PASSES} times, {ticks} ticks, report digest of the first {} episodes {:016x}",
+        "# {} episodes, the first {repeated} run {PASSES} times, {ticks} timed ticks, report digest of the first {} episodes {:016x}",
         firsts.len(),
         fixed.len(),
         workload::digest_all(fixed.iter().map(|e| &e.report))
     );
-    out
+    Ok(())
 }

@@ -1,4 +1,4 @@
-//! The benchmark's three serving workloads and the episode loop that
+//! The benchmark's serving workloads and the episode loop that
 //! drives one of them through `ServeRuntime::new` / `step` / `drain`.
 //!
 //! Arrivals are an open loop in simulated time: the seeded
@@ -9,7 +9,6 @@
 use std::sync::Arc;
 use std::time::Instant;
 use vnpu::cluster::LeastLoaded;
-use vnpu::plan::GreedyDefrag;
 use vnpu::VnpuError;
 use vnpu_fault::FaultPlan;
 use vnpu_serve::{ServeConfig, ServeReport, ServeRuntime, TickEvents};
@@ -36,13 +35,10 @@ pub struct Workload {
     /// Number of `SocConfig::sim()` chips in the fleet.
     chips: usize,
     config: fn(&mut ServeConfig, u64),
-    /// Whether the episode drives the drain lifecycle of
-    /// [`DRAIN_CHIP`] through the public API.
-    maintenance: bool,
 }
 
 /// Every workload, in `BENCHMARK.json` order.
-pub const WORKLOADS: [Workload; 3] = [
+pub const WORKLOADS: [Workload; 2] = [
     // 16 chips with execution on: machine epochs and the bind pass carry
     // most of the time, and the worker pool runs.
     Workload {
@@ -54,10 +50,10 @@ pub const WORKLOADS: [Workload; 3] = [
         workers: 2,
         chips: 16,
         config: fleet16_exec,
-        maintenance: false,
     },
-    // Placement only, below saturation: admission (mapping, cache, HBM)
-    // carries the time and the simulator none. At lifetime 20 some seeds
+    // Placement below saturation, with rotating row outages: admission
+    // (mapping, cache, HBM) and fault recovery carry the time and the
+    // simulator none. At lifetime 20 some seeds
     // reject or strand requests; at 10 the queue is mostly empty, half
     // the ticks do no work and the median tick time jumps between the
     // idle and the busy ticks from seed to seed.
@@ -70,21 +66,6 @@ pub const WORKLOADS: [Workload; 3] = [
         workers: 1,
         chips: 4,
         config: placement_churn,
-        maintenance: false,
-    },
-    // Defrag, rotating row outages and a recurring chip drain: core's
-    // write path (plan/commit, recovery, HBM compaction) and re-binding
-    // of moved tenants.
-    Workload {
-        name: "maintenance_faults",
-        episodes: 28,
-        default_seed: 1,
-        held_out_seed: 90_003,
-        ticks: 400,
-        workers: 1,
-        chips: 4,
-        config: maintenance_faults,
-        maintenance: true,
     },
 ];
 
@@ -98,43 +79,39 @@ fn fleet16_exec(cfg: &mut ServeConfig, _seed: u64) {
     cfg.traffic.mean_lifetime_epochs = 30;
 }
 
-fn placement_churn(cfg: &mut ServeConfig, _seed: u64) {
+fn placement_churn(cfg: &mut ServeConfig, seed: u64) {
     cfg.execute_epochs = false;
     cfg.traffic.mean_interarrival_ticks = 1;
     cfg.traffic.mean_lifetime_epochs = 15;
+    cfg.fault_plan = row_outages(cfg.chips.len(), cfg.epochs, seed);
 }
 
-/// The chip the maintenance workload drains and hands back, over and
-/// over; row outages rotate over the other chips.
-const DRAIN_CHIP: usize = 3;
-/// A drain begins on every tick `t` with `t % DRAIN_PERIOD == DRAIN_START`.
-const DRAIN_PERIOD: u64 = 60;
-const DRAIN_START: u64 = 20;
-/// Ticks a drained chip stays out of service before `undrain`.
-const DRAIN_WINDOW: u64 = 5;
 /// Ticks between row-outage onsets, and how long each row stays dead.
 const OUTAGE_PERIOD: u64 = 40;
 const OUTAGE_TICKS: u64 = 15;
 
-fn maintenance_faults(cfg: &mut ServeConfig, seed: u64) {
-    cfg.traffic.mean_interarrival_ticks = 1;
-    cfg.traffic.mean_lifetime_epochs = 10;
-    cfg.defrag = Some(Arc::new(GreedyDefrag::default()));
-    cfg.defrag_interval = 4;
+/// A row outage every [`OUTAGE_PERIOD`] ticks, rotating over the chips,
+/// each on a row drawn from `seed` and repaired [`OUTAGE_TICKS`] later.
+fn row_outages(chips: usize, epochs: u64, seed: u64) -> FaultPlan {
     let soc = SocConfig::sim();
     let mut rng = seed;
     let mut plan = FaultPlan::new();
     let mut onset = 30;
     let mut k = 0;
-    while onset + OUTAGE_TICKS < cfg.epochs {
+    while onset + OUTAGE_TICKS < epochs {
         rng = splitmix64(rng);
         let row = (rng % u64::from(soc.mesh_height)) as u32;
-        let chip = k % DRAIN_CHIP;
-        plan = plan.row_outage(chip, soc.mesh_width, row, onset, Some(onset + OUTAGE_TICKS));
+        plan = plan.row_outage(
+            k % chips,
+            soc.mesh_width,
+            row,
+            onset,
+            Some(onset + OUTAGE_TICKS),
+        );
         onset += OUTAGE_PERIOD;
         k += 1;
     }
-    cfg.fault_plan = plan;
+    plan
 }
 
 /// The splitmix64 step, used to derive every input from the seed.
@@ -181,7 +158,7 @@ pub struct Episode {
     pub tick_allocs: Vec<u64>,
     /// `TickEvents::queued` after each `step()`.
     pub queued: Vec<u64>,
-    /// Host time of the whole stepping loop (maintenance calls included).
+    /// Host time of the whole stepping loop.
     pub loop_nanos: u64,
     /// Peak live heap above the heap live before the episode, sampled
     /// after `ServeRuntime::new` and after every `step()`.
@@ -217,16 +194,12 @@ pub fn run_episode(
     let setup_nanos = t0.elapsed().as_nanos() as u64;
     let mut peak_heap = alloc::live_bytes();
 
-    let mut drain = DrainPhase::Idle;
     let loop_start = Instant::now();
     loop {
         let tick = rt.tick_index();
         let settled = queued.last().is_none_or(|&q| q == 0);
         if tick >= w.ticks + w.settle_cap() || (tick >= w.ticks && settled) {
             break;
-        }
-        if w.maintenance {
-            drain = drain.advance(&mut rt, tick)?;
         }
         let a0 = alloc::allocs();
         let s0 = Instant::now();
@@ -251,45 +224,6 @@ pub fn run_episode(
         loop_nanos,
         peak_heap_bytes,
     })
-}
-
-/// Host time of config build plus `ServeRuntime::new` alone (the
-/// runtime is dropped untimed).
-pub fn time_setup(w: &Workload, seed: u64) -> u64 {
-    let t0 = Instant::now();
-    let rt = ServeRuntime::new(w.config(seed));
-    let nanos = t0.elapsed().as_nanos() as u64;
-    drop(rt);
-    nanos
-}
-
-/// The recurring maintenance lifecycle of [`DRAIN_CHIP`]:
-/// `begin_drain` → (chip empty) `complete_drain` → (window) `undrain`.
-#[derive(Clone, Copy)]
-enum DrainPhase {
-    Idle,
-    Draining,
-    Drained { since: u64 },
-}
-
-impl DrainPhase {
-    fn advance(self, rt: &mut ServeRuntime, tick: u64) -> Result<Self, VnpuError> {
-        Ok(match self {
-            DrainPhase::Idle if tick % DRAIN_PERIOD == DRAIN_START => {
-                rt.begin_drain(DRAIN_CHIP)?;
-                DrainPhase::Draining
-            }
-            DrainPhase::Draining if rt.cluster().chip(DRAIN_CHIP).vnpu_count() == 0 => {
-                rt.complete_drain(DRAIN_CHIP)?;
-                DrainPhase::Drained { since: tick }
-            }
-            DrainPhase::Drained { since } if tick >= since + DRAIN_WINDOW => {
-                rt.undrain(DRAIN_CHIP)?;
-                DrainPhase::Idle
-            }
-            phase => phase,
-        })
-    }
 }
 
 /// FNV-1a digest of the report's JSON with its host-time fields zeroed,
