@@ -375,7 +375,7 @@ impl VirtualNpu {
     ) -> Result<CoreServices> {
         self.phys_core(v)?; // range check
         let v2p: Vec<u32> = self.mapping.phys_nodes().iter().map(|n| n.0).collect();
-        let mut router = VRouterNoc::new(self.phys_topology.as_ref().clone(), v2p, policy);
+        let mut router = VRouterNoc::new(Arc::clone(&self.phys_topology), v2p, policy);
         if policy == RoutePolicy::Confined {
             router.precompute_paths();
         }

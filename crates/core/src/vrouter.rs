@@ -13,6 +13,7 @@
 use crate::ids::{PhysCoreId, VirtCoreId};
 use crate::routing_table::{RoutingTable, RT_LOOKUP_CYCLES};
 use std::collections::HashMap;
+use std::sync::Arc;
 use vnpu_sim::noc::NocRouter;
 use vnpu_sim::{Result as SimResult, SimError};
 use vnpu_topo::{route, NodeId, Topology};
@@ -79,11 +80,12 @@ pub enum RoutePolicy {
 
 /// Per-core NoC router for one virtual NPU.
 ///
-/// One instance exists per bound virtual core; path lookups are cached
-/// (the hypervisor precomputes directions into the core's meta-zone, so
-/// steady-state routing is table-driven).
+/// One instance exists per bound virtual core, and all of them share the
+/// chip's physical topology through one [`Arc`] (binding copies no
+/// graph). Path lookups are cached (the hypervisor precomputes directions
+/// into the core's meta-zone, so steady-state routing is table-driven).
 pub struct VRouterNoc {
-    topo: Topology,
+    topo: Arc<Topology>,
     v2p: Vec<u32>,
     policy: RoutePolicy,
     allowed: Vec<NodeId>,
@@ -104,11 +106,12 @@ impl std::fmt::Debug for VRouterNoc {
 
 impl VRouterNoc {
     /// Creates a NoC vRouter for a virtual NPU whose virtual core `i` is
-    /// backed by physical core `v2p[i]` on the given physical mesh.
-    pub fn new(phys_topo: Topology, v2p: Vec<u32>, policy: RoutePolicy) -> Self {
+    /// backed by physical core `v2p[i]` on the given physical mesh
+    /// (either owned or shared with the other cores' routers).
+    pub fn new(phys_topo: impl Into<Arc<Topology>>, v2p: Vec<u32>, policy: RoutePolicy) -> Self {
         let allowed = v2p.iter().map(|&p| NodeId(p)).collect();
         VRouterNoc {
-            topo: phys_topo,
+            topo: phys_topo.into(),
             v2p,
             policy,
             allowed,
@@ -208,19 +211,19 @@ fn compute_path(
     src: u32,
     dst: u32,
 ) -> SimResult<(Vec<u32>, bool)> {
-    let as_u32 = |p: Vec<NodeId>| p.into_iter().map(|n| n.0).collect::<Vec<u32>>();
+    let dor = || {
+        topo.mesh_shape()
+            .and_then(|mesh| route::mesh_dor_path(mesh, src, dst))
+            .ok_or(SimError::RouteFault { core: src, dst })
+    };
     match policy {
-        RoutePolicy::Dor => route::dor_path(topo, NodeId(src), NodeId(dst))
-            .map(|p| (as_u32(p), false))
-            .map_err(|_| SimError::RouteFault { core: src, dst }),
+        RoutePolicy::Dor => dor().map(|p| (p, false)),
         RoutePolicy::Confined => {
             match route::confined_path(topo, allowed, NodeId(src), NodeId(dst)) {
-                Ok(p) => Ok((as_u32(p), false)),
+                Ok(p) => Ok((p.into_iter().map(|n| n.0).collect(), false)),
                 // Fragmented virtual NPU: fall back to DOR across foreign
                 // cores (the §4.3 performance/utilization trade-off).
-                Err(_) => route::dor_path(topo, NodeId(src), NodeId(dst))
-                    .map(|p| (as_u32(p), true))
-                    .map_err(|_| SimError::RouteFault { core: src, dst }),
+                Err(_) => dor().map(|p| (p, true)),
             }
         }
     }
@@ -276,6 +279,31 @@ mod tests {
         // DOR (X then Y): 11 is (3,2); 6 is (2,1): go west to (2,2)=10,
         // then north to 6 — crossing foreign core 10.
         assert_eq!(path, vec![11, 10, 6]);
+    }
+
+    #[test]
+    fn dor_paths_match_dor_path_on_every_pair() {
+        let topo = Topology::mesh2d(4, 3);
+        let r = VRouterNoc::new(topo.clone(), (0..12).collect(), RoutePolicy::Dor);
+        for src in 0..12 {
+            for dst in 0..12 {
+                let want: Vec<u32> = route::dor_path(&topo, NodeId(src), NodeId(dst))
+                    .unwrap()
+                    .into_iter()
+                    .map(|n| n.0)
+                    .collect();
+                assert_eq!(r.path(src, dst).unwrap(), want, "{src} -> {dst}");
+            }
+        }
+    }
+
+    #[test]
+    fn routers_share_one_topology() {
+        let topo = Arc::new(Topology::mesh2d(4, 3));
+        let a = VRouterNoc::new(Arc::clone(&topo), vec![3, 6], RoutePolicy::Dor);
+        let b = VRouterNoc::new(Arc::clone(&topo), vec![7, 11], RoutePolicy::Confined);
+        assert_eq!(Arc::strong_count(&topo), 3);
+        assert!(Arc::ptr_eq(&a.topo, &b.topo));
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! cores either over a dedicated instruction bus (IBUS — fixed latency but
 //! "its transmission structure lacks scalability in multi-core systems")
 //! or over a separate instruction NoC whose latency grows with the hop
-//! distance from the controller.
+//! distance from the controller. That distance is closed-form — the
+//! Manhattan distance `x + y` of the core's mesh coordinate from node 0 —
+//! so a dispatch costs no topology lookup.
 
 use crate::config::SocConfig;
-use vnpu_topo::{NodeId, Topology};
 
 /// How NPU instructions travel from the controller to the cores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,12 +31,16 @@ pub const INST_NOC_HOP: u64 = 7;
 pub const INST_NOC_BASE: u64 = 10;
 
 /// Latency for the controller to dispatch one instruction to `core`.
+///
+/// On the instruction NoC the hop count is `core % mesh_width + core /
+/// mesh_width`, the row-major mesh coordinate's distance from the
+/// controller at node 0.
 pub fn dispatch_latency(cfg: &SocConfig, path: DispatchPath, core: u32) -> u64 {
     match path {
         DispatchPath::InstructionBus => IBUS_LATENCY,
         DispatchPath::InstructionNoc => {
-            let topo = Topology::mesh2d(cfg.mesh_width, cfg.mesh_height);
-            let hops = topo.hop_distance(NodeId(0), NodeId(core)).unwrap_or(0);
+            let width = cfg.mesh_width.max(1);
+            let hops = core % width + core / width;
             INST_NOC_BASE + u64::from(hops) * INST_NOC_HOP
         }
     }
@@ -88,6 +93,38 @@ mod tests {
         assert!(far > near);
         // Core 7 is at (3,1): 4 hops from node 0.
         assert_eq!(far, INST_NOC_BASE + 4 * INST_NOC_HOP);
+    }
+
+    #[test]
+    fn closed_form_dispatch_matches_mesh_hop_distance() {
+        use vnpu_topo::{NodeId, Topology};
+        for cfg in [SocConfig::fpga(), SocConfig::sim(), SocConfig::sim48()] {
+            let topo = Topology::mesh2d(cfg.mesh_width, cfg.mesh_height);
+            for core in 0..cfg.core_count() {
+                let hops = topo.hop_distance(NodeId(0), NodeId(core)).unwrap();
+                assert_eq!(
+                    dispatch_latency(&cfg, DispatchPath::InstructionNoc, core),
+                    INST_NOC_BASE + u64::from(hops) * INST_NOC_HOP,
+                    "core {core} of a {}x{} mesh",
+                    cfg.mesh_width,
+                    cfg.mesh_height
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fig12_dispatch_rows_unchanged() {
+        // Figure 12's NoC#1..8 rows on the 4x2 FPGA mesh.
+        let cfg = SocConfig::fpga();
+        let rows: Vec<u64> = (0..cfg.core_count())
+            .map(|core| dispatch_latency(&cfg, DispatchPath::InstructionNoc, core))
+            .collect();
+        assert_eq!(rows, [10, 17, 24, 31, 17, 24, 31, 38]);
+        assert_eq!(
+            dispatch_latency(&cfg, DispatchPath::InstructionBus, 0),
+            IBUS_LATENCY
+        );
     }
 
     #[test]

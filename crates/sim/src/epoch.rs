@@ -25,6 +25,7 @@ use crate::stats::{Activity, CoreTrace, Report, TenantStats};
 use crate::{Result, SimError};
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
+use std::fmt;
 use vnpu_mem::{Perm, VirtAddr};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,7 +67,40 @@ pub(crate) struct ThreadState {
     pub compute_cycles: u64,
     pub macs: u64,
     pub consumed_flags: HashMap<u32, u64>,
-    pub blocked: Option<String>,
+    pub blocked: Option<Blocked>,
+}
+
+/// Why a thread waits. Plain data, so blocking allocates nothing; it is
+/// formatted only when [`Machine::run`] reports a deadlock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Blocked {
+    Credit { dst: u32, tag: u32, in_flight: u64 },
+    Recv { src: u32, tag: u32, bytes: u64 },
+    GlobalRead { tag: u32, needed: u64, have: u64 },
+    Barrier { id: u32 },
+}
+
+impl fmt::Display for Blocked {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Blocked::Credit {
+                dst,
+                tag,
+                in_flight,
+            } => write!(
+                f,
+                "send to {dst} tag {tag}: flow-credit wait ({in_flight} in flight)"
+            ),
+            Blocked::Recv { src, tag, bytes } => {
+                write!(f, "recv from {src} tag {tag}: waiting for {bytes} bytes")
+            }
+            Blocked::GlobalRead { tag, needed, have } => write!(
+                f,
+                "global-read tag {tag}: waiting for {needed} bytes (have {have})"
+            ),
+            Blocked::Barrier { id } => write!(f, "barrier {id}"),
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -214,11 +248,12 @@ impl Machine {
             .enumerate()
             .filter(|(_, th)| th.phase != Phase::Done)
             .map(|(i, th)| {
+                let why = th
+                    .blocked
+                    .map_or_else(|| "not started".to_owned(), |b| b.to_string());
                 format!(
-                    "thread {i} (tenant {}, core {}): {}",
-                    th.tenant,
-                    th.phys_core,
-                    th.blocked.as_deref().unwrap_or("not started")
+                    "thread {i} (tenant {}, core {}): {why}",
+                    th.tenant, th.phys_core
                 )
             })
             .collect();
@@ -395,10 +430,11 @@ impl Machine {
         let flow = &mut self.epoch.flows[fidx];
         if flow.sent - flow.consumed + bytes > credit {
             flow.credit_waiters.push(t);
-            self.epoch.threads[t].blocked = Some(format!(
-                "send to {dst} tag {tag}: flow-credit wait ({} in flight)",
-                flow.sent - flow.consumed
-            ));
+            self.epoch.threads[t].blocked = Some(Blocked::Credit {
+                dst,
+                tag,
+                in_flight: flow.sent - flow.consumed,
+            });
             return Ok(());
         }
         flow.sent += bytes;
@@ -418,22 +454,18 @@ impl Machine {
         let mut depart = engine_ready.max(self.core(phys as usize).send_engine_busy_until);
         let send_started = depart;
         let mut off = 0u64;
-        let mut arrivals: Vec<(u64, u64)> = Vec::new();
         while off < bytes {
             let len = packet_bytes.min(bytes - off);
             let timing = self.noc.send_packet(&path, len, depart + per_packet)?;
             depart = timing.injected_at + packet_overhead;
-            arrivals.push((timing.arrived_at + packet_overhead, len));
-            off += len;
-        }
-        for (at, len) in arrivals {
             self.push_event(
-                at,
+                timing.arrived_at + packet_overhead,
                 Event::PacketArrive {
                     flow_idx: fidx,
                     bytes: len,
                 },
             );
+            off += len;
         }
         self.core_mut(phys as usize).send_engine_busy_until = depart;
         self.epoch.traces[phys as usize].push(send_started, depart, Activity::Send);
@@ -463,9 +495,7 @@ impl Machine {
         } else {
             debug_assert!(flow.waiter.is_none(), "one receiver per flow");
             flow.waiter = Some((t, bytes, self.epoch.now));
-            self.epoch.threads[t].blocked = Some(format!(
-                "recv from {src} tag {tag}: waiting for {bytes} bytes"
-            ));
+            self.epoch.threads[t].blocked = Some(Blocked::Recv { src, tag, bytes });
         }
     }
 
@@ -568,10 +598,11 @@ impl Machine {
             self.epoch
                 .flag_waiters
                 .push((t, tag, consumed + bytes, self.epoch.now));
-            self.epoch.threads[t].blocked = Some(format!(
-                "global-read tag {tag}: waiting for {} bytes (have {available})",
-                consumed + bytes
-            ));
+            self.epoch.threads[t].blocked = Some(Blocked::GlobalRead {
+                tag,
+                needed: consumed + bytes,
+                have: available,
+            });
         }
         Ok(())
     }
@@ -608,7 +639,7 @@ impl Machine {
             }
             // Re-check Done bookkeeping for completed threads handled in advance().
         } else {
-            self.epoch.threads[t].blocked = Some(format!("barrier {id}"));
+            self.epoch.threads[t].blocked = Some(Blocked::Barrier { id });
         }
     }
 

@@ -17,7 +17,7 @@
 use crate::config::SocConfig;
 use crate::{Result, SimError};
 use std::collections::{BTreeSet, HashMap};
-use vnpu_topo::{route, NodeId, Topology};
+use vnpu_topo::{route, MeshShape, Topology};
 
 /// Resolves program-level destination core IDs and supplies NoC paths.
 ///
@@ -54,24 +54,28 @@ pub trait NocRouter: Send {
 }
 
 /// Bare-metal routing: program IDs *are* physical IDs; dimension-order
-/// (X-then-Y) paths; zero lookup cost.
+/// (X-then-Y) paths; zero lookup cost. Keeps only the mesh shape, so
+/// binding a thread builds no topology.
 #[derive(Debug, Clone)]
 pub struct DorRouter {
-    topo: Topology,
+    mesh: MeshShape,
 }
 
 impl DorRouter {
     /// Creates a DOR router over the machine's mesh.
     pub fn new(cfg: &SocConfig) -> Self {
         DorRouter {
-            topo: Topology::mesh2d(cfg.mesh_width, cfg.mesh_height),
+            mesh: MeshShape {
+                width: cfg.mesh_width,
+                height: cfg.mesh_height,
+            },
         }
     }
 }
 
 impl NocRouter for DorRouter {
     fn resolve(&mut self, dst_program: u32) -> Result<(u32, u64)> {
-        if (dst_program as usize) < self.topo.node_count() {
+        if (dst_program as usize) < self.mesh.len() {
             Ok((dst_program, 0))
         } else {
             Err(SimError::RouteFault {
@@ -82,12 +86,10 @@ impl NocRouter for DorRouter {
     }
 
     fn path(&self, src_phys: u32, dst_phys: u32) -> Result<Vec<u32>> {
-        route::dor_path(&self.topo, NodeId(src_phys), NodeId(dst_phys))
-            .map(|p| p.into_iter().map(|n| n.0).collect())
-            .map_err(|_| SimError::RouteFault {
-                core: src_phys,
-                dst: dst_phys,
-            })
+        route::mesh_dor_path(self.mesh, src_phys, dst_phys).ok_or(SimError::RouteFault {
+            core: src_phys,
+            dst: dst_phys,
+        })
     }
 
     fn name(&self) -> String {
@@ -296,6 +298,29 @@ mod tests {
         let mut r = DorRouter::new(&cfg());
         assert_eq!(r.resolve(3).unwrap(), (3, 0));
         assert!(r.resolve(99).is_err());
+    }
+
+    #[test]
+    fn dor_router_paths_match_dor_path() {
+        let c = SocConfig {
+            mesh_width: 4,
+            mesh_height: 3,
+            ..cfg()
+        };
+        let topo = Topology::mesh2d(4, 3);
+        let r = DorRouter::new(&c);
+        for src in 0..12 {
+            for dst in 0..12 {
+                let want: Vec<u32> =
+                    route::dor_path(&topo, vnpu_topo::NodeId(src), vnpu_topo::NodeId(dst))
+                        .unwrap()
+                        .into_iter()
+                        .map(|n| n.0)
+                        .collect();
+                assert_eq!(r.path(src, dst).unwrap(), want, "{src} -> {dst}");
+            }
+        }
+        assert!(r.path(0, 12).is_err());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! the allocated set) and [`path_directions`] converts it into the per-node
 //! direction entries stored in the routing table.
 
-use crate::{NodeId, Result, TopoError, Topology};
+use crate::{MeshShape, NodeId, Result, TopoError, Topology};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -70,6 +70,30 @@ pub fn dor_path(topo: &Topology, src: NodeId, dst: NodeId) -> Result<Vec<NodeId>
         path.push(topo.mesh_node(x, y).expect("mesh coordinate in range"));
     }
     Ok(path)
+}
+
+/// [`dor_path`] on a bare mesh shape, as row-major node indices: the
+/// X-then-Y route is written straight into one `Vec`, with no
+/// [`Topology`] to build. `None` when either endpoint lies outside the
+/// mesh.
+pub fn mesh_dor_path(mesh: MeshShape, src: u32, dst: u32) -> Option<Vec<u32>> {
+    if src as usize >= mesh.len() || dst as usize >= mesh.len() {
+        return None;
+    }
+    let w = mesh.width;
+    let (mut x, mut y) = (src % w, src / w);
+    let (dx, dy) = (dst % w, dst / w);
+    let mut path = Vec::with_capacity((x.abs_diff(dx) + y.abs_diff(dy) + 1) as usize);
+    path.push(src);
+    while x != dx {
+        x = if dx > x { x + 1 } else { x - 1 };
+        path.push(y * w + x);
+    }
+    while y != dy {
+        y = if dy > y { y + 1 } else { y - 1 };
+        path.push(y * w + x);
+    }
+    Some(path)
 }
 
 /// Computes a shortest path from `src` to `dst` that stays inside
@@ -206,6 +230,24 @@ mod tests {
             let d = t.hop_distance(NodeId(a), NodeId(b)).unwrap() as usize;
             assert_eq!(p.len(), d + 1);
         }
+    }
+
+    #[test]
+    fn mesh_dor_path_matches_dor_path() {
+        let t = Topology::mesh2d(4, 3);
+        let mesh = t.mesh_shape().unwrap();
+        for a in 0..12 {
+            for b in 0..12 {
+                let want: Vec<u32> = dor_path(&t, NodeId(a), NodeId(b))
+                    .unwrap()
+                    .into_iter()
+                    .map(|n| n.0)
+                    .collect();
+                assert_eq!(mesh_dor_path(mesh, a, b), Some(want), "{a} -> {b}");
+            }
+        }
+        assert_eq!(mesh_dor_path(mesh, 12, 0), None);
+        assert_eq!(mesh_dor_path(mesh, 0, 12), None);
     }
 
     #[test]

@@ -70,10 +70,10 @@ fn unmatched_recv_is_reported_as_deadlock_with_detail() {
     m.bind(0, t, 0, Program::once(vec![Instr::recv(1, 4096, 9)]))
         .unwrap();
     match m.run() {
-        Err(SimError::Deadlock { detail }) => {
-            assert!(detail.contains("recv"), "detail: {detail}");
-            assert!(detail.contains("tenant"), "detail: {detail}");
-        }
+        Err(SimError::Deadlock { detail }) => assert_eq!(
+            detail,
+            format!("thread 0 (tenant {t}, core 0): recv from 1 tag 9: waiting for 4096 bytes")
+        ),
         other => panic!("expected Deadlock, got {other:?}"),
     }
 }
@@ -87,7 +87,13 @@ fn barrier_mismatch_deadlocks() {
         .unwrap();
     m.bind(1, t, 1, Program::once(vec![Instr::Barrier { id: 2 }]))
         .unwrap();
-    assert!(matches!(m.run(), Err(SimError::Deadlock { .. })));
+    match m.run() {
+        Err(SimError::Deadlock { detail }) => assert_eq!(
+            detail,
+            format!("thread 0 (tenant {t}, core 0): barrier 1; thread 1 (tenant {t}, core 1): barrier 2")
+        ),
+        other => panic!("expected Deadlock, got {other:?}"),
+    }
 }
 
 #[test]
