@@ -3,6 +3,9 @@
 //! and the per-width wall-clock (whole run plus the per-phase breakdown
 //! from [`vnpu_serve::ServeConfig::time_phases`]) lands in
 //! `BENCH_parallel_tick.json`, so the perf trajectory has a datapoint.
+//! Only the execution phase uses the pool: each tick's machine epochs
+//! run as one batch per worker, while admission, drain and defrag run
+//! on the stepping thread at every width.
 //!
 //! Asserted invariants (both modes): every width's [`ServeReport`] is
 //! byte-identical to the sequential (`workers = 1`) run's — modulo the
@@ -27,7 +30,9 @@ const SEED: u64 = 0x9A_7A_11_E1;
 /// baseline every other width is diffed and normalized against).
 const WIDTHS: [usize; 4] = [1, 2, 4, 8];
 
-fn fleet_config(quick: bool, workers: usize) -> ServeConfig {
+/// The 16-chip fleet's serve config at one pool width (240 ticks quick,
+/// 900 full).
+pub fn fleet_config(quick: bool, workers: usize) -> ServeConfig {
     let epochs = if quick { 240 } else { 900 };
     let mut cfg = ServeConfig::cluster(SEED, epochs, vec![SocConfig::sim(); 16]);
     // Heavy standing load: ~1 arrival per tick with 30-epoch lifetimes

@@ -78,8 +78,7 @@ pub enum Phase {
     /// detected, and each one's recovery resolution (remapped, replaced
     /// cross-chip, pending or lost) per chip.
     Recovery,
-    /// Admission-wave merge: which requests landed where, in nomination
-    /// order.
+    /// Admission: which requests landed where, in nomination order.
     Admission,
     /// Drain-step apply: planned moves, skips and remaining counts per
     /// draining chip.

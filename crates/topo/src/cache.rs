@@ -382,10 +382,9 @@ impl MappingCache {
     /// Memoizes a result. Eviction is FIFO and *batched*: when an insert
     /// pushes the table past `capacity`, the oldest entries are drained in
     /// one pass down to a low-water mark (`capacity - max(1, capacity/8)`),
-    /// so the amortized per-insert eviction cost is O(1) and — once the
-    /// cache is sharded behind per-shard locks — concurrent writers never
-    /// serialize on a long eviction scan. The capacity bound itself is
-    /// unchanged: `len() <= capacity` holds after every insert.
+    /// so the amortized per-insert eviction cost is O(1). The capacity
+    /// bound itself is unchanged: `len() <= capacity` holds after every
+    /// insert.
     pub fn insert(&mut self, key: CacheKey, result: Result<Mapping>) {
         if self.entries.insert(key.clone(), result).is_none() {
             self.order.push_back(key);
@@ -401,50 +400,6 @@ impl MappingCache {
                     }
                 }
             }
-        }
-    }
-
-    /// Builds a key like [`MappingCache::key_for`] but **without touching
-    /// any state**: no `uncacheable` counter bump, no canonical-key
-    /// memoization. Returns `None` when the strategy is uncacheable *or*
-    /// when the request's canonical key has not been memoized yet — the
-    /// permutation search behind `canonical_key` is exactly the cost a
-    /// speculative probe wants to avoid paying twice, and every entry that
-    /// exists in the table was inserted through `key_for`, which memoizes.
-    /// Sound for speculation: a `None` merely downgrades a would-be peek
-    /// hit to a recompute.
-    pub fn peek_key(
-        &self,
-        phys_key: u64,
-        generation: u64,
-        req: &Topology,
-        strategy: &Strategy,
-        free: &FreeSet,
-    ) -> Option<CacheKey> {
-        let tag = strategy.cache_tag()?;
-        let labeled = labeled_hash(req);
-        let canonical = self.canon_memo.get(&labeled)?.clone();
-        Some(CacheKey {
-            phys: phys_key,
-            generation,
-            canonical,
-            labeled,
-            strategy: tag,
-            free: (free.fingerprint(), free.free_count()),
-        })
-    }
-
-    /// Looks up a memoized result **without recording a hit or miss**,
-    /// with the same placement-vs-live-free-set validation as
-    /// [`MappingCache::get`]. This is the read-only half of the parallel
-    /// admission protocol: speculative workers peek, and only the
-    /// sequential merge replays the canonical `get`/`insert` sequence that
-    /// mutates contents and statistics.
-    pub fn peek(&self, key: &CacheKey, free: &FreeSet) -> Option<Result<Mapping>> {
-        match self.entries.get(key) {
-            Some(Ok(m)) if !m.phys_nodes().iter().all(|&n| free.contains(n)) => None,
-            Some(r) => Some(r.clone()),
-            None => None,
         }
     }
 
@@ -477,22 +432,18 @@ impl MappingCache {
 /// Deliberately a *fixed constant*, never derived from the worker count:
 /// the shard a key lands in decides which FIFO ring evicts it, so tying
 /// shard count to `workers` would make cache contents — and therefore
-/// reports — differ across thread counts. With a constant, the sequential
-/// merge replays the identical per-shard op sequence no matter how many
-/// workers probed.
+/// reports — differ across thread counts. With a constant, every run
+/// replays the identical per-shard op sequence at any worker count.
 pub const DEFAULT_SHARD_COUNT: usize = 8;
 
-/// The concurrent form of [`MappingCache`]: entries sharded by the
+/// The cluster's shared form of [`MappingCache`]: entries sharded by the
 /// request's [`labeled_hash`] behind per-shard locks.
 ///
-/// The determinism contract of the parallel serve loop is enforced by
-/// *protocol*, not by this type alone: speculative workers only call
-/// [`ShardedMappingCache::peek`] (stats-free, read-only), while the single
-/// coordinating thread performs every mutating `get`/`insert` through
-/// [`ShardedMappingCache::with_shard`] in the same order the sequential
-/// loop would. Sharding therefore only buys lock granularity for the
-/// concurrent peeks; contents and statistics stay byte-identical at any
-/// worker count because the mutation sequence is identical.
+/// Every `get`/`insert` goes through [`ShardedMappingCache::with_shard`]
+/// from the thread running admission, in nomination order, so contents
+/// and statistics are byte-identical at any worker count. Each shard is
+/// its own FIFO eviction ring, so the shard layout is part of what a run
+/// computes: a single unsharded table would evict in a different order.
 ///
 /// The per-shard locks are [`vnpu_conc::sync::Mutex`]es declared under
 /// the [`vnpu_conc::sites::CACHE_SHARD`] site: with no probe installed
@@ -557,24 +508,6 @@ impl ShardedMappingCache {
         let key = labeled_hash(req);
         let mut guard = self.shards[self.shard_index(key)].lock_tagged(key);
         f(&mut guard)
-    }
-
-    /// Stats-free speculative lookup (see [`MappingCache::peek_key`] /
-    /// [`MappingCache::peek`]): `None` when the strategy is uncacheable,
-    /// the canonical key is not memoized yet, or the entry is absent or
-    /// fails placement validation. Safe to call from any worker thread.
-    pub fn peek(
-        &self,
-        phys_key: u64,
-        generation: u64,
-        req: &Topology,
-        strategy: &Strategy,
-        free: &FreeSet,
-    ) -> Option<Result<Mapping>> {
-        self.with_shard(req, |c| {
-            let key = c.peek_key(phys_key, generation, req, strategy, free)?;
-            c.peek(&key, free)
-        })
     }
 
     /// Merged effectiveness counters over all shards (order-independent
@@ -1038,45 +971,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_is_stats_free_and_validates_placement() {
-        let phys = Topology::mesh2d(3, 3);
-        let mapper = Mapper::new(&phys);
-        let req = Topology::line(2);
-        let strategy = Strategy::similar_topology().threads(1);
-        let free = FreeSet::all_free(9);
-        let mut cache = MappingCache::default();
-
-        // Before anything is cached: peek_key has no canonical memo yet.
-        assert!(cache
-            .peek_key(labeled_hash(&phys), 0, &req, &strategy, &free)
-            .is_none());
-
-        let placed = mapper
-            .map_cached(&free, &req, &strategy, &mut cache)
-            .unwrap();
-        let before = cache.stats();
-        let key = cache
-            .peek_key(labeled_hash(&phys), 0, &req, &strategy, &free)
-            .expect("canonical key memoized by the insert path");
-        assert_eq!(
-            cache.peek(&key, &free).unwrap().unwrap(),
-            placed,
-            "peek returns the memoized mapping"
-        );
-        let mut collided = free.clone();
-        collided.occupy_all(placed.phys_nodes());
-        assert!(
-            cache.peek(&key, &collided).is_none(),
-            "peek validates the placement against the live free set"
-        );
-        assert_eq!(
-            cache.stats(),
-            before,
-            "peeks must not perturb hit/miss statistics"
-        );
-    }
-
-    #[test]
     fn sharded_cache_matches_protocol_and_merges_stats() {
         let phys = Topology::mesh2d(5, 5);
         let mapper = Mapper::new(&phys);
@@ -1095,17 +989,11 @@ mod tests {
                 .with_shard(req, |c| mapper.map_cached(&free, req, &strategy, c))
                 .unwrap();
             assert_eq!(via, direct);
-            // Second pass hits; worker-side peek sees the entry.
-            sharded
+            // Second pass hits and replays the stored mapping.
+            let hit = sharded
                 .with_shard(req, |c| mapper.map_cached(&free, req, &strategy, c))
                 .unwrap();
-            assert_eq!(
-                sharded
-                    .peek(labeled_hash(&phys), 0, req, &strategy, &free)
-                    .unwrap()
-                    .unwrap(),
-                direct
-            );
+            assert_eq!(hit, direct);
         }
         let s = sharded.stats();
         assert_eq!(s.hits, reqs.len() as u64);

@@ -57,7 +57,7 @@ mod topology;
 
 pub use cache::{CacheStats, FreeSet, MappingCache, ShardedMappingCache};
 pub use ged::{GedResult, MatchCosts, UniformCosts};
-pub use mapping::{Mapper, Mapping, PlacementCache, ProbedCache, Strategy};
+pub use mapping::{Mapper, Mapping, PlacementCache, Strategy};
 pub use route::Direction;
 pub use topology::{EdgeAttr, MeshShape, NodeAttr, NodeId, NodeKind, Topology};
 

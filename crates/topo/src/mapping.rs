@@ -332,30 +332,6 @@ impl<'a> Mapper<'a> {
         strategy: &Strategy,
         cache: &mut MappingCache,
     ) -> Result<Mapping> {
-        self.map_cached_with(free, req, strategy, cache, None)
-    }
-
-    /// [`Mapper::map_cached`] with an optional *precomputed* result to use
-    /// in place of the inline [`Mapper::map_in`] call on a cache miss —
-    /// the replay half of the speculative-probe protocol: a worker thread
-    /// computes `map_in` off the critical path, and the sequential merge
-    /// substitutes that value here so the cache's `get`/`insert` sequence
-    /// (and every statistic) is exactly what the non-speculative path
-    /// would have produced. `precomputed` must equal what `map_in(free,
-    /// req, strategy)` would return — callers guarantee this by computing
-    /// it with the same mapper, free set, request and strategy.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Mapper::map_cached`].
-    pub fn map_cached_with(
-        &self,
-        free: &FreeSet,
-        req: &Topology,
-        strategy: &Strategy,
-        cache: &mut MappingCache,
-        precomputed: Option<Result<Mapping>>,
-    ) -> Result<Mapping> {
         // Checked before the cache is touched: the free-region fingerprint
         // is capacity-independent, so a wrong-capacity set would alias the
         // correctly-sized region with the same free membership — memoizing
@@ -368,12 +344,12 @@ impl<'a> Mapper<'a> {
             });
         }
         let Some(key) = cache.key_for(self.phys_key, self.generation, req, strategy, free) else {
-            return precomputed.unwrap_or_else(|| self.map_in(free, req, strategy));
+            return self.map_in(free, req, strategy);
         };
         if let Some(result) = cache.get(&key, free) {
             return result;
         }
-        let result = precomputed.unwrap_or_else(|| self.map_in(free, req, strategy));
+        let result = self.map_in(free, req, strategy);
         cache.insert(key, result.clone());
         result
     }
@@ -624,14 +600,13 @@ fn complete_option_mapping(
 /// A memoization backend for one cached mapping attempt.
 ///
 /// The hypervisor's placement paths are generic over this trait so the
-/// same code serves three cache forms: an exclusively-borrowed
+/// same code serves two cache forms: an exclusively-borrowed
 /// [`MappingCache`] (the per-chip hint caches, and every pre-existing
-/// call site), a shared [`crate::cache::ShardedMappingCache`] reached through per-shard
-/// locks (the cluster's placement cache), and the [`ProbedCache`] adapter
-/// that substitutes a speculatively-precomputed result into the shared
-/// cache's miss path. Each impl runs the *identical* `key_for` → `get` →
-/// `insert` protocol of [`Mapper::map_cached`], which is what keeps
-/// cache contents and statistics byte-identical across them.
+/// call site) and a shared [`crate::cache::ShardedMappingCache`] reached
+/// through per-shard locks (the cluster's placement cache). Both impls
+/// run the *identical* `key_for` → `get` → `insert` protocol of
+/// [`Mapper::map_cached`], which is what keeps cache contents and
+/// statistics byte-identical across them.
 pub trait PlacementCache {
     /// One memoized mapping attempt; see [`Mapper::map_cached`].
     ///
@@ -668,48 +643,6 @@ impl PlacementCache for &crate::cache::ShardedMappingCache {
         strategy: &Strategy,
     ) -> Result<Mapping> {
         self.with_shard(req, |c| mapper.map_cached(free, req, strategy, c))
-    }
-}
-
-/// A [`ShardedMappingCache`](crate::cache::ShardedMappingCache) view that
-/// substitutes one speculatively-precomputed mapping result into the miss
-/// path of its *first* `map` call (subsequent calls fall through to the
-/// plain shared-cache protocol).
-///
-/// This is the coordinator's side of the parallel-admission handshake:
-/// a worker ran `map_in` for `(free, req, strategy)` off-thread; wrapping
-/// the shared cache in `ProbedCache::new(cache, Some(result))` makes the
-/// merge consume that value only when the canonical protocol actually
-/// misses — on a hit the cached entry wins, exactly as it would have
-/// sequentially.
-#[derive(Debug)]
-pub struct ProbedCache<'a> {
-    cache: &'a crate::cache::ShardedMappingCache,
-    probe: Option<Result<Mapping>>,
-}
-
-impl<'a> ProbedCache<'a> {
-    /// Wraps `cache`, arming it with `probe` for the first miss.
-    pub fn new(
-        cache: &'a crate::cache::ShardedMappingCache,
-        probe: Option<Result<Mapping>>,
-    ) -> Self {
-        ProbedCache { cache, probe }
-    }
-}
-
-impl PlacementCache for ProbedCache<'_> {
-    fn map(
-        &mut self,
-        mapper: &Mapper<'_>,
-        free: &FreeSet,
-        req: &Topology,
-        strategy: &Strategy,
-    ) -> Result<Mapping> {
-        let probe = self.probe.take();
-        self.cache.with_shard(req, |c| {
-            mapper.map_cached_with(free, req, strategy, c, probe)
-        })
     }
 }
 
